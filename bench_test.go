@@ -719,7 +719,7 @@ func BenchmarkAblationOctaveLambda(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	det, err := core.Train(set, core.DefaultConfig(), core.DefaultTrainOptions())
+	trained, err := core.Train(set, core.DefaultConfig(), core.DefaultTrainOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -729,9 +729,16 @@ func BenchmarkAblationOctaveLambda(b *testing.B) {
 	}
 	for _, lambda := range []float64{0, 0.11, 0.3} {
 		b.Run(map[float64]string{0: "lambda0", 0.11: "lambda0.11", 0.3: "lambda0.3"}[lambda], func(b *testing.B) {
+			cfg := trained.Config()
+			cfg.Mode = core.OctavePyramid
+			cfg.Scale.Lambda = lambda
+			det, err := core.NewDetector(trained.Model(), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var n int
 			for i := 0; i < b.N; i++ {
-				dets, err := det.DetectOctave(scene.Frame, core.OctavePyramidConfig{Lambda: lambda})
+				dets, err := det.Detect(scene.Frame)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/imgproc"
 	"repro/internal/obs"
 	"repro/internal/roi"
@@ -33,7 +32,7 @@ func main() {
 		modelPath  = flag.String("model", "pedestrian.model", "trained model file")
 		in         = flag.String("in", "", "input PGM frame")
 		mode       = flag.String("mode", "feature", "pyramid mode: image, feature, chained, fixed, octave")
-		lambda     = flag.Float64("lambda", 0, "power-law channel correction (octave mode)")
+		lambda     = flag.Float64("lambda", 0, "power-law channel correction of the scaled feature levels (feature, chained, octave modes)")
 		step       = flag.Float64("step", 1.1, "pyramid scale step")
 		maxScales  = flag.Int("scales", 0, "max pyramid levels (0 = all that fit)")
 		threshold  = flag.Float64("threshold", 0, "SVM decision threshold")
@@ -68,13 +67,13 @@ func main() {
 	cfg.Threshold = *threshold
 	cfg.NMSOverlap = *nms
 	cfg.Workers = *workers
+	cfg.Scale.Lambda = *lambda
 	switch {
 	case *cascadeCal:
 		cfg.Cascade = core.CascadeCalibrated
 	case *cascade:
 		cfg.Cascade = core.CascadeExact
 	}
-	octave := false
 	switch *mode {
 	case "image":
 		cfg.Mode = core.ImagePyramid
@@ -85,7 +84,7 @@ func main() {
 	case "fixed":
 		cfg.Mode = core.FeaturePyramidFixed
 	case "octave":
-		octave = true
+		cfg.Mode = core.OctavePyramid
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}
@@ -94,9 +93,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if *stream > 0 {
-		if octave {
-			log.Fatal("-stream does not support octave mode")
-		}
 		var roiCfg *roi.Config
 		if *roiOn {
 			roiCfg = &roi.Config{FullEvery: *roiEvery, MarginPx: *roiMargin}
@@ -104,12 +100,7 @@ func main() {
 		runStream(det, frame, *stream, *fps, *hang, roiCfg)
 		return
 	}
-	var dets []eval.Detection
-	if octave {
-		dets, err = det.DetectOctave(frame, core.OctavePyramidConfig{Lambda: *lambda})
-	} else {
-		dets, err = det.Detect(frame)
-	}
+	dets, err := det.Detect(frame)
 	if err != nil {
 		log.Fatal(err)
 	}

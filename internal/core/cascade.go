@@ -18,8 +18,8 @@ const (
 	// CascadeExact evaluates windows stage by stage and rejects on the
 	// Cauchy-Schwarz bound: detections (boxes and scores) are bit-identical
 	// to CascadeOff at every worker count, only faster. Levels without a
-	// block-norm bound (octave scans, lambda-scaled float pyramids) fall
-	// back to the dense scan automatically.
+	// block-norm bound (float and octave pyramids with a non-zero Lambda and
+	// no renormalization) fall back to the dense scan automatically.
 	CascadeExact
 	// CascadeCalibrated additionally rejects below per-stage floors fitted
 	// on training positives (soft cascade, pdtrain -cascade-calibrate):
@@ -82,12 +82,14 @@ func buildStagePlan(model *svm.Model, cfg Config) (*hog.StagePlan, error) {
 //
 //   - Image-pyramid levels are directly normalized maps: every scheme
 //     (L2, L2-Hys, L1-sqrt) yields block norm < 1, so the cap is 1.
-//   - Float feature-pyramid levels (direct or chained) are convex bilinear
-//     or nearest-neighbour combinations of normalized blocks, which cannot
-//     exceed the largest input norm: cap 1. Renormalize restores norms
-//     < 1 explicitly. A non-zero Lambda without renormalization multiplies
-//     features by s^-Lambda, which exceeds 1 for Lambda < 0 and compounds
-//     per chained level — no cheap tight bound, so no cap (0).
+//   - Float feature-pyramid levels (direct, chained, or resampled from an
+//     octave) are convex bilinear or nearest-neighbour combinations of
+//     normalized blocks, which cannot exceed the largest input norm: cap 1.
+//     Octave levels themselves are directly normalized maps. Renormalize
+//     restores norms < 1 explicitly. A non-zero Lambda without
+//     renormalization multiplies features by s^-Lambda, which exceeds 1 for
+//     Lambda < 0 and compounds per chained level — no cheap tight bound, so
+//     no cap (0).
 //   - Fixed-point levels compound quantized-weight excess and rounding per
 //     chained scale; the scaler knows its own error model
 //     (FixedScaler.BlockNormCap).
@@ -95,7 +97,7 @@ func (d *Detector) levelNormCap(levelIndex int) float64 {
 	switch d.cfg.Mode {
 	case ImagePyramid:
 		return 1
-	case FeaturePyramid, FeaturePyramidChained:
+	case FeaturePyramid, FeaturePyramidChained, OctavePyramid:
 		if d.cfg.Scale.Lambda != 0 && !d.cfg.Scale.Renormalize {
 			return 0
 		}

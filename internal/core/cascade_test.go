@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -252,34 +253,48 @@ func detKey(d eval.Detection) detIdentity {
 	return detIdentity{box: d.Box, score: math.Float64bits(d.Score)}
 }
 
-// TestCascadeOctaveFallsBackDense checks that octave scanning — whose
-// resampled levels carry no block-norm bound — silently degrades exact mode
-// to the dense scan: identical detections, and zero cascade traffic in the
-// counters (nothing was staged, so nothing is misreported as pruned).
+// TestCascadeOctaveFallsBackDense checks exact mode on the octave pyramid.
+// With Scale.Lambda 0.1 the levels carry no block-norm bound, so exact mode
+// silently degrades to the dense scan: identical detections, and zero
+// cascade traffic in the counters (nothing was staged, so nothing is
+// misreported as pruned). With Lambda 0 every level is bounded: the scan
+// stages windows and stays bit-identical to dense.
 func TestCascadeOctaveFallsBackDense(t *testing.T) {
 	det, g := testDetector(t)
 	model := det.Model()
 	frame, _ := sceneWithPedestrian(g, 320, 240, 128)
 
-	want, err := det.DetectOctaveRaw(frame, OctavePyramidConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Cascade = CascadeExact
-	cfg.Workers = 1
-	cfg.Metrics = obs.NewDetectRecorder(obs.NewMetrics())
-	exact, err := NewDetector(model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exact.DetectOctaveRaw(frame, OctavePyramidConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDetections(t, "octave", want, got)
-	if cs := cfg.Metrics.Metrics().CascadeSnapshot(); cs.Windows != 0 {
-		t.Errorf("octave scan staged %d windows; unbounded levels must scan dense", cs.Windows)
+	for _, lambda := range []float64{0.1, 0} {
+		cfg := DefaultConfig()
+		cfg.Mode = OctavePyramid
+		cfg.Scale.Lambda = lambda
+		cfg.Workers = 1
+		dense, err := NewDetector(model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := dense.DetectRaw(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cascade = CascadeExact
+		cfg.Metrics = obs.NewDetectRecorder(obs.NewMetrics())
+		exact, err := NewDetector(model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exact.DetectRaw(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDetections(t, fmt.Sprintf("octave lambda=%g", lambda), want, got)
+		staged := cfg.Metrics.Metrics().CascadeSnapshot().Windows
+		if lambda != 0 && staged != 0 {
+			t.Errorf("lambda %g: octave scan staged %d windows; unbounded levels must scan dense", lambda, staged)
+		}
+		if lambda == 0 && staged == 0 {
+			t.Error("lambda 0: octave scan staged no windows; bounded levels must run the cascade")
+		}
 	}
 }
 

@@ -7,10 +7,24 @@ import (
 	"repro/internal/imgproc"
 )
 
+// octaveDetector reconfigures the shared test detector for the octave
+// pyramid with power-law correction lambda.
+func octaveDetector(t *testing.T, det *Detector, lambda float64) *Detector {
+	t.Helper()
+	cfg := det.Config()
+	cfg.Mode = OctavePyramid
+	cfg.Scale.Lambda = lambda
+	d, err := NewDetector(det.Model(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDetectOctaveNativeScale(t *testing.T) {
 	det, g := testDetector(t)
 	frame, truth := sceneWithPedestrian(g, 256, 256, 128)
-	dets, err := det.DetectOctave(frame, OctavePyramidConfig{})
+	dets, err := octaveDetector(t, det, 0).Detect(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +41,7 @@ func TestDetectOctaveLargePedestrianUsesSecondOctave(t *testing.T) {
 	// A pedestrian ~2.1x the window height: beyond the first octave, so
 	// it can only be found via the octave-2 feature map.
 	frame, truth := sceneWithPedestrian(g, 512, 560, 270)
-	dets, err := det.DetectOctave(frame, OctavePyramidConfig{Lambda: 0.1})
+	dets, err := octaveDetector(t, det, 0.1).Detect(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +60,7 @@ func TestDetectOctaveLargePedestrianUsesSecondOctave(t *testing.T) {
 func TestDetectOctaveAgreesWithFeaturePyramid(t *testing.T) {
 	det, g := testDetector(t)
 	frame, truth := sceneWithPedestrian(g, 320, 320, 140)
-	a, err := det.DetectOctave(frame, OctavePyramidConfig{})
+	a, err := octaveDetector(t, det, 0).Detect(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +80,7 @@ func TestDetectOctaveAgreesWithFeaturePyramid(t *testing.T) {
 
 func TestDetectOctaveTooSmallFrame(t *testing.T) {
 	det, _ := testDetector(t)
-	if _, err := det.DetectOctave(imgproc.NewGray(16, 16), OctavePyramidConfig{}); err == nil {
+	if _, err := octaveDetector(t, det, 0).Detect(imgproc.NewGray(16, 16)); err == nil {
 		t.Error("tiny frame should error")
 	}
 }
@@ -75,6 +89,7 @@ func TestDetectOctaveMaxScales(t *testing.T) {
 	det, g := testDetector(t)
 	frame, _ := sceneWithPedestrian(g, 512, 512, 128)
 	cfg := det.Config()
+	cfg.Mode = OctavePyramid
 	cfg.MaxScales = 1
 	cfg.Threshold = -1e9
 	cfg.NMSOverlap = 0
@@ -82,7 +97,7 @@ func TestDetectOctaveMaxScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := d1.DetectOctaveRaw(frame, OctavePyramidConfig{})
+	one, err := d1.DetectRaw(frame)
 	if err != nil {
 		t.Fatal(err)
 	}

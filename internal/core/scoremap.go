@@ -61,128 +61,20 @@ func (sm *ScoreMap) ToImage() *imgproc.Gray {
 // ScoreMaps computes the dense decision values of every pyramid level for
 // the frame (no thresholding, no NMS). Levels come from the same builder as
 // DetectRaw, so the maps correspond exactly to the windows the configured
-// Mode scans — image-pyramid, feature-pyramid, chained and fixed detectors
-// all get heat maps of their own pyramid. Scoring is zero-copy and sharded
-// across window rows over the configured worker pool. An active
-// Config.Regions set restricts scoring to the region anchor spans exactly
-// like DetectRaw; anchors outside the regions read as -Inf.
+// Mode scans — every mode gets heat maps of its own pyramid. Scoring is
+// zero-copy and sharded across window rows over the configured worker pool.
+// An active Config.Regions set restricts scoring to the region anchor spans
+// exactly like DetectRaw; anchors outside the regions read as -Inf. With a
+// cascade enabled the maps stay thresholding-equivalent rather than
+// value-identical (see scanSpans): heat maps flatten in the pruned, deeply
+// negative regions.
 func (d *Detector) ScoreMaps(frame *imgproc.Gray) ([]*ScoreMap, error) {
 	return d.ScoreMapsCtx(context.Background(), frame)
 }
 
 // ScoreMapsCtx is ScoreMaps with cooperative cancellation (see DetectCtx).
 func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*ScoreMap, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	levels, release, err := d.buildLevels(ctx, frame)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	d.applyRegions(levels)
-	wbx, wby := d.cfg.windowBlocks()
-	rows := d.scanRows(levels)
-	maps := make([]*ScoreMap, len(levels))
-	for i, l := range levels {
-		if rows[i] < 1 {
-			continue
-		}
-		nx := l.fm.BlocksX - wbx + 1
-		maps[i] = &ScoreMap{
-			Scale:  l.sx,
-			ScaleY: l.sy,
-			W:      nx,
-			H:      rows[i],
-			Scores: make([]float64, nx*rows[i]),
-		}
-		// An active region set restricts scoring exactly like DetectRaw:
-		// anchors outside the spans are never evaluated and read as -Inf,
-		// so thresholding a restricted map selects exactly the restricted
-		// detections.
-		if l.spans != nil {
-			for j := range maps[i].Scores {
-				maps[i].Scores[j] = math.Inf(-1)
-			}
-		}
-	}
-	// With a cascade enabled the maps stay thresholding-equivalent rather
-	// than value-identical: a pruned anchor records the cascade's upper
-	// bound on its score (+ bias), which is <= Threshold by construction of
-	// the rejection test, so thresholding a cascade score map selects the
-	// same anchors as thresholding a dense one; heat maps just flatten in
-	// the pruned (deeply negative) regions. Accepted anchors record their
-	// exact, bit-identical score.
-	w := d.model.W
-	thr := d.cfg.Threshold - d.model.B
-	err = runShards(ctx, shardLevels(rows, d.cfg.workers()), d.cfg.workers(), func(_ int, s rowShard) error {
-		l := levels[s.level]
-		fm := l.fm
-		sm := maps[s.level]
-		fullSpan := [1]anchorSpan{{bx0: 0, bx1: sm.W, by0: 0, by1: sm.H}}
-		spans := l.spans
-		if spans == nil {
-			spans = fullSpan[:]
-		} else if len(spans) == 0 {
-			return nil // active region set touches no anchor of this level
-		}
-		plan := d.plan
-		if plan != nil && d.cfg.Cascade == CascadeExact && l.normCap <= 0 {
-			plan = nil
-		}
-		if plan == nil {
-			for by := s.row0; by < s.row1; by++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				for si := range spans {
-					sp := spans[si]
-					if by < sp.by0 || by >= sp.by1 {
-						continue
-					}
-					for bx := sp.bx0; bx < sp.bx1; bx++ {
-						score, _ := fm.ScoreWindow(w, bx, by, wbx, wby)
-						sm.Scores[by*sm.W+bx] = score + d.model.B
-					}
-				}
-			}
-			return nil
-		}
-		var rowBuf [64]float64
-		rowDots := rowBuf[:]
-		if wby > len(rowBuf) {
-			rowDots = make([]float64, wby)
-		}
-		var tally cascadeTally
-		for by := s.row0; by < s.row1; by++ {
-			if err := ctx.Err(); err != nil {
-				tally.fold(d.cfg.Metrics.Metrics(), wbx)
-				return err
-			}
-			for si := range spans {
-				sp := spans[si]
-				if by < sp.by0 || by >= sp.by1 {
-					continue
-				}
-				for bx := sp.bx0; bx < sp.bx1; bx++ {
-					score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx, by, wbx, wby, plan, thr, l.normCap, rowDots)
-					if !ok {
-						continue
-					}
-					tally.windows++
-					tally.rows += uint64(rowsEval)
-					if accepted {
-						tally.accepted++
-					} else {
-						tally.reject(rowsEval)
-					}
-					sm.Scores[by*sm.W+bx] = score + d.model.B
-				}
-			}
-		}
-		tally.fold(d.cfg.Metrics.Metrics(), wbx)
-		return nil
-	})
+	_, maps, err := d.scanFrame(ctx, frame, true)
 	if err != nil {
 		return nil, err
 	}
@@ -196,4 +88,32 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 		return nil, fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
 	}
 	return out, nil
+}
+
+// newScoreMaps allocates the score map of every level the window fits
+// (nil for the others). Anchors of a region-restricted level start at -Inf:
+// they are never evaluated, so thresholding a restricted map selects
+// exactly the restricted detections.
+func (d *Detector) newScoreMaps(levels []pyrLevel) []*ScoreMap {
+	maps := make([]*ScoreMap, len(levels))
+	for i, l := range levels {
+		nx, ny := d.anchors(l)
+		if ny < 1 {
+			continue
+		}
+		sm := &ScoreMap{
+			Scale:  l.sx,
+			ScaleY: l.sy,
+			W:      nx,
+			H:      ny,
+			Scores: make([]float64, nx*ny),
+		}
+		if l.spans != nil {
+			for j := range sm.Scores {
+				sm.Scores[j] = math.Inf(-1)
+			}
+		}
+		maps[i] = sm
+	}
+	return maps
 }
